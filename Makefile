@@ -25,6 +25,9 @@
 #   make fleet-bench - worker-fleet no-fault overhead vs the slot scheduler
 #   make federation-bench - incremental mirror-sync bytes-on-wire vs naive push
 #   make fsck-demo - save a layout, corrupt it on disk, detect and repair
+#   make wallbench-test - the wall-clock benchmark's own arithmetic tests
+#   make wallbench WORKLOAD=<name> - one wall-clock benchmark run
+#                  (SEED, SECONDS and TRACE=0|1 are optional)
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -32,12 +35,17 @@ CLI     = PYTHONPATH=src $(PYTHON) -m repro.cli
 
 TRACE_APP ?= lammps
 
+WORKLOAD ?= warm-readapt
+SEED     ?= 1
+SECONDS  ?= 25
+TRACE    ?= 0
+
 .PHONY: test chaos federation-chaos federation-test service-test \
         service-chaos recovery-test recovery-bench verify-all \
         service-bench serve bench resilience-bench \
         trace metrics telemetry-bench obs-bench health integrity-bench \
         perf-bench incremental-test parallel-bench fleet-bench \
-        federation-bench fsck-demo
+        federation-bench fsck-demo wallbench-test wallbench
 
 test:
 	$(PYTEST) -x -q
@@ -68,7 +76,7 @@ recovery-bench:
 
 # Everything: the tier-1 suite, then each marker-gated suite in turn.
 verify-all: test chaos federation-chaos service-chaos recovery-test \
-        federation-test service-test incremental-test
+        federation-test service-test incremental-test wallbench-test
 
 service-bench:
 	$(PYTEST) benchmarks/bench_service_throughput.py -q -s
@@ -121,3 +129,10 @@ federation-bench:
 
 fsck-demo:
 	PYTHONPATH=src $(PYTHON) examples/fsck_demo.py
+
+wallbench-test:
+	$(PYTHON) -m pytest wallbench -q
+
+wallbench:
+	$(PYTHON) wallbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+	    --seconds $(SECONDS) --trace $(TRACE)

@@ -7,6 +7,7 @@ sources.list pointing back at it, packaged as a single-layer OCI image.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.containers.engine import ContainerEngine
@@ -15,15 +16,22 @@ from repro.oci.image import ImageConfig
 from repro.oci.layer import Layer
 from repro.pkg import catalog
 from repro.pkg.apt import AptFacade
-from repro.pkg.repository import RepositoryPool
+from repro.pkg.repository import Repository, RepositoryPool
 from repro.vfs import VirtualFilesystem
 
 UBUNTU_REF = "ubuntu:24.04"
 
 
+@lru_cache(maxsize=None)
+def generic_repository(arch: str) -> Repository:
+    """``ubuntu-generic`` for *arch*, built once and shared by every engine
+    (repositories are never changed after the catalog builds them)."""
+    return catalog.build_generic_repository(arch)
+
+
 def build_ubuntu_base(arch: str) -> Tuple[ImageConfig, List[Layer]]:
     """Build the generic base image for *arch* (one rootfs layer)."""
-    repo = catalog.build_generic_repository(arch)
+    repo = generic_repository(arch)
     fs = VirtualFilesystem()
     for directory in ("/bin", "/usr/bin", "/usr/lib", "/etc", "/tmp", "/root",
                       "/var/lib/dpkg", "/usr/share"):
@@ -48,9 +56,20 @@ def build_ubuntu_base(arch: str) -> Tuple[ImageConfig, List[Layer]]:
     return config, [layer]
 
 
+@lru_cache(maxsize=None)
+def _ubuntu_base(arch: str) -> Tuple[ImageConfig, Tuple[Layer, ...]]:
+    """:func:`build_ubuntu_base`, once per architecture per process."""
+    config, layers = build_ubuntu_base(arch)
+    return config, tuple(layers)
+
+
 def install_ubuntu_base(engine: ContainerEngine, ref: str = UBUNTU_REF) -> str:
-    """Build and register the base image (and its repo) on an engine."""
-    engine.register_repository(catalog.build_generic_repository(engine.arch))
-    config, layers = build_ubuntu_base(engine.arch)
-    engine.add_image(ref, config, layers)
+    """Register the base image (and its repo) on an engine.
+
+    The image is built once per architecture and shared: its layers are
+    never changed once digested, and ``add_image`` copies the config.
+    """
+    engine.register_repository(generic_repository(engine.arch))
+    config, layers = _ubuntu_base(engine.arch)
+    engine.add_image(ref, config, list(layers))
     return ref

@@ -21,9 +21,9 @@ re-flattens the extended image stack), so two optimizations apply here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
+from repro.memo import ContentMemo
 from repro.oci.layer import (
     KIND_DIR,
     KIND_FILE,
@@ -115,8 +115,7 @@ def apply_layer(fs: VirtualFilesystem, layer: Layer) -> VirtualFilesystem:
 # Finished flatten results keyed by the layer-digest tuple.  Entries are
 # private snapshots: lookups hand out copy-on-write clones, so callers can
 # mutate their tree freely without disturbing the memo.
-_FLATTEN_MEMO: "OrderedDict[tuple, VirtualFilesystem]" = OrderedDict()
-_FLATTEN_MEMO_CAP = 64
+_FLATTEN_MEMO: "ContentMemo[VirtualFilesystem]" = ContentMemo(cap=64)
 
 
 def flatten_memo_clear() -> None:
@@ -136,20 +135,16 @@ def flatten_layers(
     digest), so equal keys imply equal trees.
     """
     stack: List[Layer] = list(layers)
-    key: Optional[tuple] = None
-    if reuse:
-        key = tuple(layer.digest for layer in stack)
-        hit = _FLATTEN_MEMO.get(key)
-        if hit is not None:
-            _FLATTEN_MEMO.move_to_end(key)
-            return hit.clone()
+    if not reuse:
+        return _apply_stack(stack)
+    key = tuple(layer.digest for layer in stack)
+    return _FLATTEN_MEMO.get(key, lambda: _apply_stack(stack)).clone()
+
+
+def _apply_stack(stack: List[Layer]) -> VirtualFilesystem:
     fs = VirtualFilesystem()
     applier = _LayerApplier(fs)
     for layer in stack:
         for entry in layer.entries:
             applier.apply_entry(entry)
-    if key is not None:
-        _FLATTEN_MEMO[key] = fs.clone()
-        while len(_FLATTEN_MEMO) > _FLATTEN_MEMO_CAP:
-            _FLATTEN_MEMO.popitem(last=False)
     return fs

@@ -9,10 +9,11 @@ its image model needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.memo import ContentMemo
 from repro.pkg.package import Package
-from repro.vfs import VirtualFilesystem
+from repro.vfs import Directory, FileContent, RegularFile, Symlink, VirtualFilesystem
 
 STATUS_PATH = "/var/lib/dpkg/status"
 INFO_DIR = "/var/lib/dpkg/info"
@@ -116,19 +117,55 @@ class DpkgDatabase:
 
     @staticmethod
     def read_from(fs: VirtualFilesystem) -> "DpkgDatabase":
+        """Parse the database out of *fs*.
+
+        The parse is memoized by content digest: the status file's digest
+        keys its parsed packages, each ``.list`` file's digest keys its
+        paths, and each stanza's text keys its :class:`Package`.  Content
+        providers are shared between copy-on-write clones, so a clone of
+        an image re-reads its database without parsing a line.  A
+        :class:`Package` is never mutated after construction, so every
+        database shares it; the returned database still has dicts of its
+        own, so a caller's ``add``/``remove`` never reaches a later read.
+        """
         db = DpkgDatabase()
         if not fs.exists(STATUS_PATH):
             return db
-        text = fs.read_text(STATUS_PATH)
-        for stanza in text.split("\n\n"):
-            if not stanza.strip():
-                continue
-            package = Package.from_control(stanza)
-            list_path = f"{INFO_DIR}/{package.name}.list"
-            files: List[str] = []
-            if fs.exists(list_path):
-                files = [
-                    line for line in fs.read_text(list_path).splitlines() if line.strip()
-                ]
+        status = fs.file_content(STATUS_PATH)
+        info = fs.try_get_node(INFO_DIR)
+        lists = info.children if isinstance(info, Directory) else {}
+        for package in _STATUSES.get(status.digest, lambda: _parse_status(status)):
+            content = _list_content(fs, lists, package.name)
+            files = () if content is None else _LISTS.get(
+                content.digest, lambda: _parse_list(content))
             db.add(package, file_paths=files)
         return db
+
+
+#: Parsed packages by status-file digest, file lists by ``.list`` digest,
+#: and packages by stanza text (so a status never seen before still
+#: shares the packages of the stanzas it has in common with others).
+_STATUSES: "ContentMemo[Tuple[Package, ...]]" = ContentMemo(cap=256)
+_LISTS: "ContentMemo[Tuple[str, ...]]" = ContentMemo(cap=4096)
+_STANZAS: "ContentMemo[Package]" = ContentMemo(cap=4096)
+
+
+def _parse_status(status: FileContent) -> Tuple[Package, ...]:
+    return tuple(
+        _STANZAS.get(stanza, lambda: Package.from_control(stanza))
+        for stanza in status.read().decode("utf-8").split("\n\n")
+        if stanza.strip()
+    )
+
+
+def _parse_list(content: FileContent) -> Tuple[str, ...]:
+    text = content.read().decode("utf-8")
+    return tuple(line for line in text.splitlines() if line.strip())
+
+
+def _list_content(fs: VirtualFilesystem, lists, name: str) -> Optional[FileContent]:
+    """Content of *name*'s ``.list`` file in the info directory *lists*."""
+    node = lists.get(f"{name}.list")
+    if isinstance(node, Symlink):
+        node = fs.try_get_node(f"{INFO_DIR}/{name}.list")
+    return node.content if isinstance(node, RegularFile) else None

@@ -5,6 +5,8 @@ import pytest
 from repro import simbin
 from repro.containers import ContainerEngine
 from repro.core.images import (
+    _DERIVED,
+    ArchitectureMismatchError,
     base_ref,
     env_ref,
     install_system_side_images,
@@ -12,8 +14,11 @@ from repro.core.images import (
     rebase_ref,
     sysenv_ref,
 )
+from repro.images import UBUNTU_REF, install_ubuntu_base
+from repro.oci import Layer, LayerEntry
 from repro.pkg.database import DpkgDatabase
 from repro.sysmodel import AARCH64_CLUSTER, X86_CLUSTER
+from repro.vfs import InlineContent
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +128,84 @@ class TestSystemSideImages:
         marker = simbin.read_program_marker(fs.read_file("/opt/phytium/bin/ftcc"))
         assert marker["toolchain"] == "phytium-kit-3"
 
-    def test_arch_mismatch_asserts(self):
+    def test_arch_mismatch_raises(self):
         engine = ContainerEngine(arch="amd64")
-        with pytest.raises(AssertionError):
+        with pytest.raises(ArchitectureMismatchError, match="arm64"):
             install_system_side_images(engine, AARCH64_CLUSTER)
+
+
+def _identity(engine, ref):
+    stored = engine.image(ref)
+    return stored.layer_key(), stored.config.digest
+
+
+def _all_refs(system, flavor):
+    return [env_ref(system.arch), base_ref(system.arch),
+            sysenv_ref(system.key, flavor), rebase_ref(system.key)]
+
+
+def _install_all(system, flavor):
+    engine = ContainerEngine(arch=system.arch)
+    install_user_side_images(engine)
+    install_system_side_images(engine, system, flavor)
+    return engine
+
+
+class TestDerivedImageMemo:
+    """Every image is derived once per content key and shared by engines."""
+
+    @pytest.mark.parametrize("system", [X86_CLUSTER, AARCH64_CLUSTER],
+                             ids=lambda s: s.key)
+    @pytest.mark.parametrize("flavor", ["vendor", "llvm"])
+    def test_hit_equals_fresh_derivation(self, system, flavor):
+        _DERIVED.clear()
+        fresh = _install_all(system, flavor)
+        misses = _DERIVED.misses
+        hit = _install_all(system, flavor)
+        assert _DERIVED.misses == misses  # the second engine derived nothing
+        for ref in _all_refs(system, flavor):
+            assert _identity(hit, ref) == _identity(fresh, ref), ref
+            # Shared layers, private configs.
+            assert hit.image(ref).layers[-1] is fresh.image(ref).layers[-1]
+            assert hit.image(ref).config is not fresh.image(ref).config
+
+    def test_other_flavor_derives_fresh(self):
+        _DERIVED.clear()
+        engine = _install_all(X86_CLUSTER, "vendor")
+        misses = _DERIVED.misses
+        install_system_side_images(engine, X86_CLUSTER, "llvm")
+        other = _install_all(X86_CLUSTER, "llvm")
+        assert _DERIVED.misses == misses + 1  # only the llvm Sysenv is new
+        assert (_identity(other, sysenv_ref("x86", "llvm"))
+                == _identity(engine, sysenv_ref("x86", "llvm"))
+                != _identity(engine, sysenv_ref("x86")))
+
+    def test_other_base_derives_fresh(self):
+        reference = _install_all(X86_CLUSTER, "vendor")
+        engine = ContainerEngine(arch="amd64")
+        install_ubuntu_base(engine)
+        stored = engine.image(UBUNTU_REF)
+        extra = Layer(comment="site tweak").add(
+            LayerEntry.file("/etc/site.conf", InlineContent(b"tuned\n")))
+        config = stored.config.clone()
+        config.diff_ids.append(extra.digest)
+        engine.add_image(UBUNTU_REF, config, list(stored.layers) + [extra])
+        misses = _DERIVED.misses
+        install_system_side_images(engine, X86_CLUSTER)
+        assert _DERIVED.misses == misses + 2  # Sysenv and Rebase
+        for ref in (sysenv_ref("x86"), rebase_ref("x86")):
+            assert _identity(engine, ref) != _identity(reference, ref)
+            assert engine.image_filesystem(ref).exists("/etc/site.conf")
+            assert not reference.image_filesystem(ref).exists("/etc/site.conf")
+
+    def test_ubuntu_base_shared_config_private(self):
+        first, second = ContainerEngine(arch="arm64"), ContainerEngine(arch="arm64")
+        install_ubuntu_base(first)
+        install_ubuntu_base(second)
+        assert first.image(UBUNTU_REF).layers[0] is second.image(UBUNTU_REF).layers[0]
+        assert first.repos["ubuntu-generic"] is second.repos["ubuntu-generic"]
+        first.image(UBUNTU_REF).config.env.append("LEAK=1")
+        assert "LEAK" not in second.image(UBUNTU_REF).config.env_dict()
+        third = ContainerEngine(arch="arm64")
+        install_ubuntu_base(third)
+        assert "LEAK" not in third.image(UBUNTU_REF).config.env_dict()
