@@ -28,6 +28,8 @@
 #   make wallbench-test - the wall-clock benchmark's own arithmetic tests
 #   make wallbench WORKLOAD=<name> - one wall-clock benchmark run
 #                  (SEED, SECONDS and TRACE=0|1 are optional)
+#   make wallbench-ab PARENT=<rev> WORKLOAD=<name> SEEDS="1 2 3" - interleaved
+#                  parent/change wallbench pairs at BENCHMARK.json run_seconds
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -39,13 +41,15 @@ WORKLOAD ?= warm-readapt
 SEED     ?= 1
 SECONDS  ?= 25
 TRACE    ?= 0
+PARENT   ?= HEAD~1
+SEEDS    ?= 1 2 3 4 5 6 7 8 9 10
 
 .PHONY: test chaos federation-chaos federation-test service-test \
         service-chaos recovery-test recovery-bench verify-all \
         service-bench serve bench resilience-bench \
         trace metrics telemetry-bench obs-bench health integrity-bench \
         perf-bench incremental-test parallel-bench fleet-bench \
-        federation-bench fsck-demo wallbench-test wallbench
+        federation-bench fsck-demo wallbench-test wallbench wallbench-ab
 
 test:
 	$(PYTEST) -x -q
@@ -136,3 +140,7 @@ wallbench-test:
 wallbench:
 	$(PYTHON) wallbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 	    --seconds $(SECONDS) --trace $(TRACE)
+
+wallbench-ab:
+	$(PYTHON) benchmarks/wallbench_ab.py --parent $(PARENT) \
+	    --workload $(WORKLOAD) --seeds $(SEEDS)

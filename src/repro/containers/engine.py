@@ -37,7 +37,11 @@ from repro.oci.layout import OCILayout
 from repro.oci.registry import ImageRegistry
 from repro.pkg.repository import Repository, RepositoryPool
 from repro.telemetry import NULL_TELEMETRY
-from repro.toolchain.artifacts import ExecutableArtifact, try_read_artifact
+from repro.toolchain.artifacts import (
+    ExecutableArtifact,
+    PaddedContent,
+    try_read_artifact,
+)
 from repro.vfs import RegularFile, VirtualFilesystem
 from repro.vfs import paths as vpath
 
@@ -271,7 +275,10 @@ class ContainerEngine:
         node = container.fs.try_get_node(path)
         if not isinstance(node, RegularFile):
             return RunResult(exit_code=126, stderr=f"sh: {argv[0]}: cannot execute")
-        data = node.content.read()
+        # A padded file is a build artifact whose pad is only spaces, which
+        # no decode below needs: read its payload, never the padded bytes.
+        content = node.content
+        data = content.payload if isinstance(content, PaddedContent) else content.read()
 
         marker = simbin.read_program_marker(data)
         if marker is not None and marker.get("program") == "hijack":

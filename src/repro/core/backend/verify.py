@@ -66,13 +66,14 @@ def verify_redirected_image(
     # 3. Rebuilt binaries carry the system toolchain.
     expected_toolchain = None
     for path in files:
-        data = redirected_fs.read_file(path) if redirected_fs.exists(path) else b""
-        artifact = try_read_artifact(data)
+        artifact = try_read_artifact(
+            redirected_fs.file_content(path) if redirected_fs.exists(path) else b""
+        )
         if isinstance(artifact, ExecutableArtifact):
             if expected_toolchain is None:
                 expected_toolchain = artifact.toolchain
             original = try_read_artifact(
-                original_fs.read_file(path) if original_fs.exists(path) else b""
+                original_fs.file_content(path) if original_fs.exists(path) else b""
             )
             if (
                 isinstance(original, ExecutableArtifact)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro import simbin
 from repro.vfs.content import FileContent
@@ -32,8 +32,9 @@ BYTES_PER_SOURCE_BYTE = {"0": 0.50, "1": 0.42, "2": 0.38, "3": 0.44,
 class PaddedContent(FileContent):
     """JSON payload + declared padding, materialized only on read.
 
-    Trailing whitespace is valid JSON padding, so ``json.loads(read())``
-    always works regardless of pad size.
+    The pad is only spaces, and JSON ignores trailing whitespace, so
+    decoding ``payload`` equals decoding ``read()``: readers decode the
+    payload and never materialize the pad.
     """
 
     payload: bytes
@@ -181,8 +182,15 @@ def artifact_content(artifact: Any, pad: Optional[int] = None) -> PaddedContent:
     return PaddedContent(payload=payload, pad=pad_bytes)
 
 
-def read_artifact(data: bytes) -> Any:
-    """Parse artifact bytes back into its typed representation."""
+def read_artifact(data: Union[bytes, FileContent]) -> Any:
+    """Parse artifact bytes (or file content) into its typed representation.
+
+    A :class:`PaddedContent` is decoded from its payload alone.
+    """
+    if isinstance(data, PaddedContent):
+        data = data.payload
+    elif isinstance(data, FileContent):
+        data = data.read()
     obj = simbin.read_artifact_payload(data)
     if obj is None:
         raise ArtifactError("not a simulated build artifact")
@@ -192,14 +200,10 @@ def read_artifact(data: bytes) -> Any:
         raise ArtifactError(f"unknown artifact kind: {kind!r}")
     obj = dict(obj)
     obj.pop("kind", None)
-    if cls is ObjectArtifact:
-        return ObjectArtifact.from_json(obj)
-    if cls is ArchiveArtifact:
-        return ArchiveArtifact.from_json(obj)
     return cls.from_json(obj)
 
 
-def try_read_artifact(data: bytes) -> Optional[Any]:
+def try_read_artifact(data: Union[bytes, FileContent]) -> Optional[Any]:
     try:
         return read_artifact(data)
     except ArtifactError:

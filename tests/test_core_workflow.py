@@ -6,7 +6,8 @@ from repro.apps.specs import MIB, get_app
 from repro.core.workflow import ComtainerSession, WorkflowError, measure_schemes
 from repro.perf import predict_time, scheme_traits
 from repro.sysmodel import AARCH64_CLUSTER, X86_CLUSTER
-from repro.toolchain.artifacts import read_artifact
+from repro import simbin
+from repro.toolchain.artifacts import PaddedContent, read_artifact
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +119,30 @@ class TestRedirectedImageSize:
         total = x86.system_engine.image_filesystem(ref).total_size()
         original_target = get_app("lulesh").image_size["amd64"] * MIB
         assert 0.9 * original_target < total < 1.8 * original_target
+
+
+class TestPayloadOnlyDecode:
+    def test_cold_adapt_and_run_never_materialize_artifact_padding(self, monkeypatch):
+        """The backend decodes every object and archive it links from the
+        payload alone, and the engine execs a binary from its payload, so
+        neither a cold adaptation nor a run of the result reads padded bytes."""
+        counts = {"read": 0, "decode": 0}
+        read, decode = PaddedContent.read, simbin.read_artifact_payload
+
+        def counting_read(self):
+            counts["read"] += 1
+            return read(self)
+
+        def counting_decode(data):
+            counts["decode"] += 1
+            return decode(data)
+
+        monkeypatch.setattr(PaddedContent, "read", counting_read)
+        monkeypatch.setattr(simbin, "read_artifact_payload", counting_decode)
+        session = ComtainerSession(system=X86_CLUSTER)
+        session.adapt("lammps")
+        assert counts["decode"] > 0
+        assert counts["read"] == 0
+        assert session.run_scheme("lammps.eam", "adapted") == pytest.approx(
+            _expected("lammps.eam", X86_CLUSTER, "adapted"), rel=0.005)
+        assert counts["read"] == 0

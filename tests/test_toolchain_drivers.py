@@ -1,6 +1,8 @@
 """Tests for compiler driver execution, archiver, artifacts."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.toolchain.archiver import ArchiverError, run_ar
 from repro.toolchain.artifacts import (
@@ -15,6 +17,7 @@ from repro.toolchain.artifacts import (
 )
 from repro.toolchain.drivers import CompilerDriver, CompilerError
 from repro.vfs import VirtualFilesystem
+from repro.vfs.content import InlineContent
 
 
 @pytest.fixture
@@ -30,6 +33,20 @@ def fs():
 @pytest.fixture
 def gcc():
     return CompilerDriver(toolchain_id="gnu-12", role="cc", isa="x86-64")
+
+
+_OBJECT = ObjectArtifact(sources=["/src/a.c"], language="c", opt_level="2",
+                         defines=["NDEBUG"], lto_ir=True, code_size=512,
+                         command=["gcc", "-c", "a.c"])
+_ARTIFACT_SAMPLES = {
+    "object": _OBJECT,
+    "archive": ArchiveArtifact(members=[{"name": "a.o", "object": _OBJECT.to_json()}]),
+    "shared": SharedObjectArtifact(objects=[_OBJECT.to_json()], libs=["m"],
+                                   soname="libx.so.1", code_size=2048),
+    "executable": ExecutableArtifact(objects=[_OBJECT.to_json()],
+                                     lib_paths={"m": "/usr/lib/libm.so"},
+                                     lto_applied=True, code_size=4096),
+}
 
 
 class TestArtifacts:
@@ -55,6 +72,28 @@ class TestArtifacts:
 
     def test_try_read_non_artifact(self):
         assert try_read_artifact(b"not an artifact") is None
+
+    @given(kind=st.sampled_from(sorted(_ARTIFACT_SAMPLES)),
+           pad=st.integers(min_value=0, max_value=65536))
+    def test_payload_decode_equals_padded_decode(self, kind, pad):
+        content = artifact_content(_ARTIFACT_SAMPLES[kind], pad=pad)
+        decoded = read_artifact(content)
+        assert decoded.kind == kind
+        assert decoded.to_json() == read_artifact(content.read()).to_json()
+        assert decoded.to_json() == read_artifact(
+            InlineContent(content.read())).to_json()
+
+    def test_non_artifact_padded_content_is_not_an_artifact(self):
+        assert try_read_artifact(PaddedContent(b"{}", 10)) is None
+
+    def test_padded_content_decodes_without_materializing_pad(self, monkeypatch):
+        content = artifact_content(_ARTIFACT_SAMPLES["archive"], pad=65536)
+
+        def refuse(self):
+            raise AssertionError("pad materialized")
+
+        monkeypatch.setattr(PaddedContent, "read", refuse)
+        assert isinstance(read_artifact(content), ArchiveArtifact)
 
 
 class TestCompile:
