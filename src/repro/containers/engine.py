@@ -30,6 +30,7 @@ from repro.containers.dockerfile import (
     parse_containerfile,
 )
 from repro.containers.hijack import record_trace
+from repro.oci.apply import flatten_layers
 from repro.oci.diff import diff_filesystems
 from repro.oci.image import ImageConfig, Manifest
 from repro.oci.layer import Layer
@@ -81,7 +82,6 @@ class ContainerEngine:
         self.containers: Dict[str, Container] = {}
         self.repos: Dict[str, Repository] = {}
         self.binary_runner: Optional[BinaryRunner] = None
-        self._fs_cache: Dict[tuple, VirtualFilesystem] = {}
         self._ids = itertools.count(1)
         #: Optional :class:`repro.resilience.faults.FaultInjector`; armed at
         #: the top of :meth:`run` so chaos tests can crash container entry.
@@ -154,19 +154,7 @@ class ContainerEngine:
 
     def image_filesystem(self, ref: str) -> VirtualFilesystem:
         """Flattened filesystem of an image (returns a private clone)."""
-        stored = self.image(ref)
-        key = stored.layer_key()
-        cached = self._fs_cache.get(key)
-        if cached is None:
-            from repro.oci.apply import flatten_layers
-
-            cached = flatten_layers(stored.layers)
-            self._fs_cache[key] = cached
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("engine_fs_cache_misses_total").inc()
-        elif self.telemetry.enabled:
-            self.telemetry.metrics.counter("engine_fs_cache_hits_total").inc()
-        return cached.clone()
+        return flatten_layers(self.image(ref).layers)
 
     # ------------------------------------------------------------------
     # containers

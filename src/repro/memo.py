@@ -30,6 +30,9 @@ class ContentMemo(Generic[V]):
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
     def get(self, key: Hashable, derive: Callable[[], V]) -> V:
         """The value stored under *key*, derived (and stored) on a miss."""
         entries = self._entries

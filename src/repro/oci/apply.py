@@ -8,15 +8,16 @@ later layers shadow earlier ones.
 Layer application is on the hot path of every adaptation (each rebuild
 re-flattens the extended image stack), so two optimizations apply here:
 
-* :class:`_LayerApplier` keeps a directory cache across entries (and, in
-  :func:`flatten_layers`, across layers), so the common run of file entries
-  sharing a parent directory resolves that directory once instead of once
-  per entry.  Entries that can change path resolution (whiteouts, opaque
-  markers, symlinks, anything replacing a directory) conservatively drop
-  the cache — correctness over speed for the rare kinds.
-* :func:`flatten_layers` memoizes finished trees by the layer-digest tuple
-  and hands out O(1) copy-on-write clones, so re-adaptations reuse prior
-  rebuilt layers wholesale instead of re-applying them.
+* :class:`_LayerApplier` keeps a directory cache across the entries of a
+  layer, so the common run of file entries sharing a parent directory
+  resolves that directory once instead of once per entry.  Entries that
+  can change path resolution (whiteouts, opaque markers, symlinks,
+  anything replacing a directory) conservatively drop the cache —
+  correctness over speed for the rare kinds.
+* :func:`flatten_layers` memoizes the tree of every stack prefix by its
+  layer-digest tuple.  A coMtainer step only appends a layer to an image,
+  so a new stack costs a copy-on-write clone of its memoized parent stack
+  plus one :func:`apply_layer`, and a repeat stack costs one clone.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ def apply_layer(fs: VirtualFilesystem, layer: Layer) -> VirtualFilesystem:
     return fs
 
 
-# Finished flatten results keyed by the layer-digest tuple.  Entries are
-# private snapshots: lookups hand out copy-on-write clones, so callers can
-# mutate their tree freely without disturbing the memo.
+# Flattened trees keyed by the layer-digest tuple of a stack or stack
+# prefix.  Entries are private snapshots that are never mutated: a lookup
+# hands out a copy-on-write clone, and a longer stack is built on a clone
+# of its prefix's entry.
 _FLATTEN_MEMO: "ContentMemo[VirtualFilesystem]" = ContentMemo(cap=64)
 
 
@@ -123,28 +125,24 @@ def flatten_memo_clear() -> None:
     _FLATTEN_MEMO.clear()
 
 
-def flatten_layers(
-    layers: Iterable[Layer], *, reuse: bool = True
-) -> VirtualFilesystem:
+def flatten_layers(layers: Iterable[Layer]) -> VirtualFilesystem:
     """Compute the final filesystem state of an ordered layer stack.
 
-    With *reuse* (the default) the result is memoized by the stack's
-    layer-digest tuple; a repeat flatten of an identical stack returns an
-    O(1) copy-on-write clone instead of re-applying every entry.  A layer's
-    digest covers the canonical identity of every entry (content by
-    digest), so equal keys imply equal trees.
+    The tree of every prefix of the stack is memoized by its layer-digest
+    tuple, so only the layers above the longest memoized prefix are
+    applied, each on a copy-on-write clone of the tree below it.  A
+    layer's digest covers the canonical identity of every entry (content
+    by digest), so equal keys imply equal trees.  Returns a private clone.
     """
     stack: List[Layer] = list(layers)
-    if not reuse:
-        return _apply_stack(stack)
     key = tuple(layer.digest for layer in stack)
-    return _FLATTEN_MEMO.get(key, lambda: _apply_stack(stack)).clone()
-
-
-def _apply_stack(stack: List[Layer]) -> VirtualFilesystem:
-    fs = VirtualFilesystem()
-    applier = _LayerApplier(fs)
-    for layer in stack:
-        for entry in layer.entries:
-            applier.apply_entry(entry)
-    return fs
+    depth = len(stack)
+    while depth and key[:depth] not in _FLATTEN_MEMO:
+        depth -= 1
+    fs = _FLATTEN_MEMO.get(key[:depth], VirtualFilesystem)
+    for layer in stack[depth:]:
+        depth += 1
+        fs = _FLATTEN_MEMO.get(
+            key[:depth], lambda below=fs, top=layer: apply_layer(below.clone(), top)
+        )
+    return fs.clone()

@@ -154,6 +154,11 @@ class Directory(Node):
 AnyNode = Union[Directory, RegularFile, Symlink]
 
 
+def _prefix(comps: Tuple[str, ...], n: int) -> str:
+    """The path of the first *n* components of a normalized path."""
+    return "/" + "/".join(comps[:n])
+
+
 class VirtualFilesystem:
     """A mutable rooted tree of :class:`Directory`/:class:`RegularFile`/:class:`Symlink`."""
 
@@ -180,30 +185,29 @@ class VirtualFilesystem:
         if _hops > _MAX_SYMLINK_HOPS:
             raise SymlinkLoopError(f"too many levels of symbolic links: {path!r}")
         comps = vpath.components(path)
+        last = len(comps) - 1
         node: AnyNode = self.root
-        cur = "/"
         for i, comp in enumerate(comps):
             if not isinstance(node, Directory):
-                raise NotADirectoryVfsError(f"not a directory: {cur!r}")
+                raise NotADirectoryVfsError(f"not a directory: {_prefix(comps, i)!r}")
             child = node.children.get(comp)
-            is_final = i == len(comps) - 1
-            child_path = vpath.join(cur, comp)
             if child is None:
-                if is_final:
-                    return child_path, None
-                raise NotFoundError(f"no such file or directory: {child_path!r}")
-            if isinstance(child, Symlink) and (not is_final or follow_final):
+                if i == last:
+                    return _prefix(comps, i + 1), None
+                raise NotFoundError(
+                    f"no such file or directory: {_prefix(comps, i + 1)!r}"
+                )
+            if isinstance(child, Symlink) and (i != last or follow_final):
                 target = child.target
                 if not vpath.is_absolute(target):
-                    target = vpath.join(cur, target)
+                    target = vpath.join(_prefix(comps, i), target)
                 rest = "/".join(comps[i + 1 :])
                 rejoined = vpath.join(target, rest) if rest else target
                 return self._resolve(
                     rejoined, follow_final=follow_final, _hops=_hops + 1
                 )
             node = child
-            cur = child_path
-        return cur, node
+        return _prefix(comps, len(comps)), node
 
     def resolve_path(self, path: str) -> str:
         """Canonical path after following all symlinks (must exist)."""
@@ -250,43 +254,38 @@ class VirtualFilesystem:
     # mutation
     # ------------------------------------------------------------------
 
-    def _writable_dir_at(self, canonical: str) -> Directory:
-        """Return a mutation-safe directory at the *canonical* (resolved) path.
+    def _parent_dir(self, path: str, *, create: bool = False) -> Tuple[Directory, str]:
+        """Return a writable directory node holding *path*'s final component."""
+        parent_path, name = vpath.split(path)
+        if not name:
+            raise VfsError("cannot address the root this way")
+        return self.writable_dir(parent_path, create=create), name
 
-        Walks from the root and replaces every ``_shared`` directory along the
-        way with a private shallow copy (path copying), so mutating the
-        returned node can never leak into another tree that shares structure
-        with this one.
+    def writable_dir(self, path: str, *, create: bool = False) -> Directory:
+        """Resolve *path* to a directory safe for direct child mutation.
+
+        Every ``_shared`` directory from the root down is replaced with a
+        private shallow copy (path copying), so mutating the returned node
+        can never leak into another tree that shares structure with this
+        one.
         """
+        # One walk serves the common case, a chain of plain directories:
+        # the path is then canonical, so the walk resolves it and
+        # path-copies on the way down.
         if self.root._shared:
             self.root = self.root.clone()
         node = self.root
-        for comp in vpath.components(canonical):
-            child = node.children[comp]
+        for comp in vpath.components(path):
+            child = node.children.get(comp)
+            if not isinstance(child, Directory):
+                break
             if child._shared:
                 child = child.clone()
                 node.children[comp] = child
-            assert isinstance(child, Directory)
             node = child
-        return node
-
-    def _parent_dir(self, path: str, *, create: bool = False) -> Tuple[Directory, str]:
-        """Return a writable directory node holding *path*'s final component."""
-        parent_path = vpath.dirname(path)
-        name = vpath.basename(path)
-        if not name:
-            raise VfsError("cannot address the root this way")
-        if create:
-            self.makedirs(parent_path, exist_ok=True)
-        canonical, node = self._resolve(parent_path)
-        if node is None:
-            raise NotFoundError(f"no such directory: {parent_path!r}")
-        if not isinstance(node, Directory):
-            raise NotADirectoryVfsError(f"not a directory: {canonical!r}")
-        return self._writable_dir_at(canonical), name
-
-    def writable_dir(self, path: str, *, create: bool = False) -> Directory:
-        """Resolve *path* to a directory safe for direct child mutation."""
+        else:
+            return node
+        # A missing component, a symlink or a file: resolve the full way.
         if create:
             self.makedirs(path, exist_ok=True)
         canonical, node = self._resolve(path)
@@ -294,7 +293,8 @@ class VirtualFilesystem:
             raise NotFoundError(f"no such directory: {path!r}")
         if not isinstance(node, Directory):
             raise NotADirectoryVfsError(f"not a directory: {canonical!r}")
-        return self._writable_dir_at(canonical)
+        # Every component of a resolved path is a plain directory.
+        return self.writable_dir(canonical)
 
     def mkdir(self, path: str, *, exist_ok: bool = False, mode: int = 0o755) -> None:
         parent, name = self._parent_dir(path)
@@ -396,7 +396,7 @@ class VirtualFilesystem:
                 self.root = self.root.clone()
             self.root.mode = mode
             return
-        parent = self._writable_dir_at(vpath.dirname(canonical))
+        parent = self.writable_dir(vpath.dirname(canonical))
         name = vpath.basename(canonical)
         child = parent.children[name]
         if child._shared:

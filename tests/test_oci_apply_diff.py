@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.oci import Layer, LayerEntry, apply_layer, diff_filesystems, flatten_layers
+from repro.oci.apply import _LayerApplier, flatten_memo_clear
 from repro.oci.diff import layer_from_tree
 from repro.vfs import InlineContent, VirtualFilesystem
 
@@ -59,6 +60,33 @@ class TestApply:
         l2 = Layer().add(LayerEntry.file("/f", InlineContent(b"two")))
         fs = flatten_layers([l1, l2])
         assert fs.read_file("/f") == b"two"
+
+
+class TestFlattenMemo:
+    def test_new_top_layer_applies_only_its_own_entries(self, monkeypatch):
+        base = Layer()
+        base.add(LayerEntry.directory("/opt"))
+        for i in range(499):
+            base.add(LayerEntry.file(f"/opt/f{i:03d}", InlineContent(b"z")))
+        top = Layer()
+        top.add(LayerEntry.file("/opt/f000", InlineContent(b"new")))
+        top.add(LayerEntry.whiteout("/opt/f001"))
+        top.add(LayerEntry.file("/etc/conf", InlineContent(b"c")))
+        flatten_memo_clear()
+        flatten_layers([base])
+        applied = []
+        apply_entry = _LayerApplier.apply_entry
+
+        def counted(self, entry):
+            applied.append(entry)
+            return apply_entry(self, entry)
+
+        monkeypatch.setattr(_LayerApplier, "apply_entry", counted)
+        fs = flatten_layers([base, top])
+        assert len(applied) == len(top.entries)
+        assert fs.read_file("/opt/f000") == b"new"
+        assert not fs.exists("/opt/f001")
+        assert fs.read_file("/opt/f002") == b"z"
 
 
 class TestDiff:

@@ -52,6 +52,13 @@ class TestLayer:
         # header (512) + payload padded to 1024 + 2 end blocks (1024)
         assert layer.size == 512 + 1024 + 1024
 
+    def test_size_follows_add(self):
+        layer = Layer()
+        layer.add(LayerEntry.file("/a", InlineContent(b"x")))
+        first = layer.size
+        layer.add(LayerEntry.file("/b", InlineContent(b"y" * 600)))
+        assert layer.size == first + 512 + 1024
+
     def test_size_synthetic_no_materialization(self):
         layer = Layer().add(
             LayerEntry.file("/big", SyntheticContent("s", 170 * 1024 * 1024))

@@ -1,6 +1,8 @@
 """Unit tests for the virtual filesystem."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.vfs import (
     Directory,
@@ -340,3 +342,125 @@ class TestSortedItemsCache:
         assert [n for n, _ in twin.sorted_items()] == [
             "alpha", "extra", "mid", "zeta"]
         assert [n for n, _ in d.sorted_items()] == ["alpha", "mid", "zeta"]
+
+
+def tree_rows(fs):
+    """Every node of *fs* as ``(path, kind, mode, content digest or target)``."""
+    rows = [("/", "dir", fs.root.mode, None)]
+    for path, node in fs.iter_entries():
+        if isinstance(node, RegularFile):
+            rows.append((path, "file", node.mode, node.content.digest))
+        elif isinstance(node, Symlink):
+            rows.append((path, "symlink", node.mode, node.target))
+        else:
+            rows.append((path, "dir", node.mode, None))
+    return rows
+
+
+_names = st.sampled_from(["a", "b", "c"])
+_paths = st.lists(_names, min_size=1, max_size=3).map(lambda p: "/" + "/".join(p))
+_targets = st.one_of(_paths, _names, st.just("../a"))
+_setup_op = st.one_of(
+    st.tuples(st.just("dir"), _paths),
+    st.tuples(st.just("file"), _paths, st.binary(max_size=4)),
+    st.tuples(st.just("symlink"), _paths, _targets),
+)
+_write_op = st.one_of(
+    st.tuples(st.just("write"), _paths, st.binary(max_size=4), st.booleans()),
+    st.tuples(st.just("writable_dir"), _paths, st.booleans()),
+)
+
+
+def _build(setup_ops):
+    fs = VirtualFilesystem()
+    for op in setup_ops:
+        try:
+            if op[0] == "dir":
+                fs.makedirs(op[1])
+            elif op[0] == "file":
+                fs.write_file(op[1], op[2], create_parents=True)
+            else:
+                fs.symlink(op[2], op[1], create_parents=True)
+        except VfsError:
+            pass
+    return fs
+
+
+def _apply_write(fs, op):
+    """Run one write; returns the error type it raised, or None."""
+    try:
+        if op[0] == "write":
+            fs.write_file(op[1], op[2], create_parents=op[3])
+        else:
+            node = fs.writable_dir(op[1], create=op[2])
+            node.mode = 0o700
+            node.children["new"] = RegularFile(content=InlineContent(b"n"))
+    except VfsError as exc:
+        return type(exc)
+    return None
+
+
+_LOOP = [("symlink", "/l1", "/l2"), ("symlink", "/l2", "/l1")]
+
+
+class TestOneWalkWrites:
+    """``writable_dir`` resolves a chain of plain directories in one walk;
+    everything else (missing parts, symlinks, files) takes the full route."""
+
+    @given(st.lists(_setup_op, max_size=8), st.lists(_write_op, min_size=1, max_size=6))
+    def test_writes_on_a_clone_match_an_unshared_tree(self, setup_ops, writes):
+        original = _build(setup_ops)
+        before = tree_rows(original)
+        work = original.clone()
+        unshared = _build(setup_ops)
+        for op in writes:
+            assert _apply_write(work, op) == _apply_write(unshared, op)
+        assert tree_rows(work) == tree_rows(unshared)
+        assert tree_rows(original) == before
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("setup, path, create, error", [
+        ([], "/no/such/f", False, NotFoundError),
+        ([("file", "/f", b"x")], "/f/x", False, NotADirectoryVfsError),
+        ([("file", "/f", b"x")], "/f/x", True, NotADirectoryVfsError),
+        (_LOOP, "/l1/x", False, SymlinkLoopError),
+        (_LOOP, "/l1/x", True, SymlinkLoopError),
+    ])
+    def test_write_errors(self, setup, path, create, error, shared):
+        fs = _build(setup)
+        if shared:
+            fs = fs.clone()
+        before = tree_rows(fs)
+        with pytest.raises(error):
+            fs.write_file(path, "x", create_parents=create)
+        with pytest.raises(error):
+            fs.writable_dir(path.rsplit("/", 1)[0], create=create)
+        assert tree_rows(fs) == before
+
+    def test_write_through_symlinked_dir_of_a_clone(self):
+        fs = VirtualFilesystem()
+        fs.write_file("/real/sub/f", "old", create_parents=True)
+        fs.symlink("/real", "/link")
+        work = fs.clone()
+        work.write_file("/link/sub/g", "new")
+        assert work.read_text("/real/sub/g") == "new"
+        assert not fs.exists("/real/sub/g")
+
+    def test_write_into_cloned_dir_makes_no_resolve_call(self, monkeypatch):
+        fs = VirtualFilesystem()
+        fs.write_file("/opt/app/bin/x", "x", create_parents=True)
+        work = fs.clone()
+        calls = []
+        resolve = VirtualFilesystem._resolve
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(VirtualFilesystem, "_resolve", counted)
+        work.write_file("/opt/app/bin/y", "y")
+        work.write_file("/opt/app/bin/z", "z", create_parents=True)
+        assert calls == []
+        monkeypatch.undo()
+        assert work.read_text("/opt/app/bin/y") == "y"
+        assert not fs.exists("/opt/app/bin/y")
